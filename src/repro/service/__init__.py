@@ -9,19 +9,20 @@ can drive over a connection, one modular layer at a time:
   the keyspace across N independent :class:`~repro.core.store.UniKV`
   instances, the same boundary-key bisect the store uses one level down
   for its partitions;
-* :mod:`repro.service.server` — an :class:`asyncio` TCP server with
-  per-connection pipelining, write admission control driven by each
+* :mod:`repro.service.server` — one transport-free request handler and
+  the :class:`asyncio` TCP server that drives it, with per-connection
+  pipelining, write admission control driven by each
   shard's :class:`~repro.runtime.scheduler.WriteStallStats`, and graceful
   drain on shutdown;
-* :mod:`repro.service.client` — sync and async clients with connection
-  reuse, pipelining, client-side batching and retry-with-backoff.
+* :mod:`repro.service.client` — sync and async clients over one shared
+  core: connection reuse, pipelining, one client-side :class:`Batcher`
+  for both, and retry-with-backoff.
 
 Start a server from the CLI with ``python -m repro serve --shards 2`` and
 poke it with ``python -m repro.service.client --port 7711 put k v``.
 """
 
 from repro.service.client import (
-    AsyncBatcher,
     AsyncKVClient,
     Batcher,
     KVClient,
@@ -40,7 +41,6 @@ from repro.service.router import ShardRouter
 from repro.service.server import KVServer
 
 __all__ = [
-    "AsyncBatcher",
     "AsyncKVClient",
     "Batcher",
     "FrameDecoder",

@@ -9,6 +9,11 @@ with exponential backoff.  The async client additionally pipelines:
 concurrent requests share the connection and are matched to responses by
 order, the contract the server guarantees.
 
+Everything but the transport is written once, in ``_ClientCore``: the
+connection settings, the API methods, :class:`Batcher` and the retry
+accounting.  Each client adds only its request/response exchange
+(``_call``), connect/close and frame reading.
+
 Run ``python -m repro.service.client --port 7711 put greeting hello`` for
 a command-line smoke client.
 """
@@ -89,33 +94,42 @@ class RetryPolicy:
 class Batcher:
     """Client-side write batching: buffer ops, flush as one BATCH frame.
 
-    A context manager — leaving the ``with`` block flushes the tail::
+    A context manager — leaving the block cleanly flushes the tail, under
+    either client::
 
-        with client.batcher(max_ops=64) as batch:
+        with client.batcher(max_ops=64) as batch:         # KVClient
             batch.put(b"k", b"v")
+
+        async with client.batcher(max_ops=64) as batch:   # AsyncKVClient
+            await batch.put(b"k", b"v")
+
+    ``put``/``delete``/``flush`` return what the client's calls return: the
+    count of ops a flush applied (0 when nothing was flushed), awaitable
+    under :class:`AsyncKVClient`.
     """
 
-    def __init__(self, client: "KVClient", max_ops: int = 128) -> None:
+    def __init__(self, client: "_ClientCore", max_ops: int = 128) -> None:
         self._client = client
         self.max_ops = max_ops
         self.ops: list[tuple] = []
         self.flushes = 0
 
-    def put(self, key: bytes, value: bytes) -> None:
+    def put(self, key: bytes, value: bytes):
         self.ops.append(("put", key, value))
-        self._maybe_flush()
+        return self._maybe_flush()
 
-    def delete(self, key: bytes) -> None:
+    def delete(self, key: bytes):
         self.ops.append(("delete", key))
-        self._maybe_flush()
+        return self._maybe_flush()
 
-    def _maybe_flush(self) -> None:
+    def _maybe_flush(self):
         if len(self.ops) >= self.max_ops:
-            self.flush()
+            return self.flush()
+        return self._client._ready(0)
 
-    def flush(self) -> int:
+    def flush(self):
         if not self.ops:
-            return 0
+            return self._client._ready(0)
         ops, self.ops = self.ops, []
         self.flushes += 1
         return self._client.write_batch(ops)
@@ -127,36 +141,7 @@ class Batcher:
         if exc_type is None:
             self.flush()
 
-
-class AsyncBatcher:
-    """Async twin of :class:`Batcher` (``async with`` flushes the tail)."""
-
-    def __init__(self, client: "AsyncKVClient", max_ops: int = 128) -> None:
-        self._client = client
-        self.max_ops = max_ops
-        self.ops: list[tuple] = []
-        self.flushes = 0
-
-    async def put(self, key: bytes, value: bytes) -> None:
-        self.ops.append(("put", key, value))
-        await self._maybe_flush()
-
-    async def delete(self, key: bytes) -> None:
-        self.ops.append(("delete", key))
-        await self._maybe_flush()
-
-    async def _maybe_flush(self) -> None:
-        if len(self.ops) >= self.max_ops:
-            await self.flush()
-
-    async def flush(self) -> int:
-        if not self.ops:
-            return 0
-        ops, self.ops = self.ops, []
-        self.flushes += 1
-        return await self._client.write_batch(ops)
-
-    async def __aenter__(self) -> "AsyncBatcher":
+    async def __aenter__(self) -> "Batcher":
         return self
 
     async def __aexit__(self, exc_type, *exc) -> None:
@@ -180,11 +165,19 @@ def _unpack(op_name: str, status: Status, body: bytes):
         return body
     if status == Status.NOT_FOUND:
         return None
+    if status in RETRYABLE_STATUSES:
+        raise TransientError(body.decode("utf-8", "replace"))
     raise ServerError(status, body.decode("utf-8", "replace"))
 
 
-class KVClient:
-    """Blocking client over one reused TCP connection."""
+class _ClientCore:
+    """Connection settings, the API and retry accounting of both clients.
+
+    Each API method returns what the transport's ``_call`` returns: the
+    result under :class:`KVClient`, an awaitable of it under
+    :class:`AsyncKVClient`.  ``_call`` retries while :func:`_unpack`
+    raises :class:`TransientError` for a retryable status.
+    """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 7711, *,
                  timeout: float = 5.0, retry: RetryPolicy | None = None,
@@ -194,11 +187,57 @@ class KVClient:
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.max_frame_bytes = max_frame_bytes
-        self._sock: socket.socket | None = None
-        self._decoder = FrameDecoder(max_frame_bytes)
-        self._frames: deque = deque()
         #: transient-failure retries performed (the backoff path's odometer)
         self.total_retries = 0
+
+    # -- retry accounting -------------------------------------------------------------
+
+    def _backoff(self, attempt: int) -> float:
+        """Seconds to wait before retry number ``attempt`` (1-based)."""
+        self.total_retries += 1
+        return self.retry.delay(attempt - 1)
+
+    def _give_up(self, last: Exception | None) -> TransientError:
+        return TransientError(f"gave up after {self.retry.retries} retries: {last}")
+
+    def _ready(self, value):
+        """``value`` in the form the API methods return."""
+        return value
+
+    # -- API --------------------------------------------------------------------------
+
+    def ping(self, payload: bytes = b""):
+        return self._call("ping", protocol.encode_ping(payload))
+
+    def get(self, key: bytes):
+        return self._call("get", protocol.encode_get(key))
+
+    def put(self, key: bytes, value: bytes):
+        return self._call("put", protocol.encode_put(key, value))
+
+    def delete(self, key: bytes):
+        return self._call("delete", protocol.encode_delete(key))
+
+    def write_batch(self, ops: list[tuple]):
+        return self._call("batch", protocol.encode_batch(ops))
+
+    def scan(self, start: bytes, count: int):
+        return self._call("scan", protocol.encode_scan(start, count))
+
+    def stats(self):
+        return self._call("stats", protocol.encode_stats())
+
+    def describe(self):
+        return self._call("describe", protocol.encode_describe())
+
+    def batcher(self, max_ops: int = 128) -> Batcher:
+        return Batcher(self, max_ops=max_ops)
+
+
+class KVClient(_ClientCore):
+    """Blocking client over one reused TCP connection."""
+
+    _sock: socket.socket | None = None
 
     # -- connection management --------------------------------------------------------
 
@@ -207,7 +246,7 @@ class KVClient:
             self._sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout)
             self._decoder = FrameDecoder(self.max_frame_bytes)
-            self._frames.clear()
+            self._frames: deque = deque()
         return self._sock
 
     def close(self) -> None:
@@ -240,54 +279,21 @@ class KVClient:
         last: Exception | None = None
         for attempt in range(self.retry.retries + 1):
             if attempt:
-                self.total_retries += 1
-                time.sleep(self.retry.delay(attempt - 1))
+                time.sleep(self._backoff(attempt))
             try:
                 sock = self._connect()
                 sock.sendall(frame_bytes)
                 status, body = protocol.decode_response(self._read_frame(sock))
-            except (OSError, ConnectionError) as exc:
+                return _unpack(op_name, status, body)
+            except TransientError as exc:
+                last = exc
+            except OSError as exc:
                 self.close()
                 last = exc
-                continue
-            if status in RETRYABLE_STATUSES:
-                last = TransientError(body.decode("utf-8", "replace"))
-                continue
-            return _unpack(op_name, status, body)
-        raise TransientError(
-            f"gave up after {self.retry.retries} retries: {last}") from last
-
-    # -- API --------------------------------------------------------------------------
-
-    def ping(self, payload: bytes = b"") -> bytes:
-        return self._call("ping", protocol.encode_ping(payload))
-
-    def get(self, key: bytes) -> bytes | None:
-        return self._call("get", protocol.encode_get(key))
-
-    def put(self, key: bytes, value: bytes) -> int:
-        return self._call("put", protocol.encode_put(key, value))
-
-    def delete(self, key: bytes) -> int:
-        return self._call("delete", protocol.encode_delete(key))
-
-    def write_batch(self, ops: list[tuple]) -> int:
-        return self._call("batch", protocol.encode_batch(ops))
-
-    def scan(self, start: bytes, count: int) -> list[tuple[bytes, bytes]]:
-        return self._call("scan", protocol.encode_scan(start, count))
-
-    def stats(self) -> dict:
-        return self._call("stats", protocol.encode_stats())
-
-    def describe(self) -> dict:
-        return self._call("describe", protocol.encode_describe())
-
-    def batcher(self, max_ops: int = 128) -> Batcher:
-        return Batcher(self, max_ops=max_ops)
+        raise self._give_up(last) from last
 
 
-class AsyncKVClient:
+class AsyncKVClient(_ClientCore):
     """Asyncio client with request pipelining over one connection.
 
     Any number of coroutines may issue requests concurrently; frames are
@@ -295,19 +301,12 @@ class AsyncKVClient:
     ``asyncio.gather`` over many calls to pipeline.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 7711, *,
-                 timeout: float = 5.0, retry: RetryPolicy | None = None,
-                 max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.max_frame_bytes = max_frame_bytes
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._read_task: asyncio.Task | None = None
         self._pending: deque[asyncio.Future] = deque()
-        self.total_retries = 0
 
     # -- connection management --------------------------------------------------------
 
@@ -369,63 +368,31 @@ class AsyncKVClient:
         except Exception as exc:
             self._fail_pending(exc)
 
-    async def _send(self, frame_bytes: bytes) -> tuple[Status, bytes]:
-        await self.connect()
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        # Enqueue and write with no await in between: response order is
-        # exactly pending-queue order.
-        self._pending.append(fut)
-        self._writer.write(frame_bytes)
-        await self._writer.drain()
-        return await asyncio.wait_for(fut, self.timeout)
-
     async def _call(self, op_name: str, frame_bytes: bytes):
         last: Exception | None = None
         for attempt in range(self.retry.retries + 1):
             if attempt:
-                self.total_retries += 1
-                await asyncio.sleep(self.retry.delay(attempt - 1))
+                await asyncio.sleep(self._backoff(attempt))
             try:
-                status, body = await self._send(frame_bytes)
+                if self._writer is None:
+                    await self.connect()
+                fut: asyncio.Future = asyncio.get_running_loop().create_future()
+                # Enqueue and write with no await in between: response order
+                # is exactly pending-queue order.
+                self._pending.append(fut)
+                self._writer.write(frame_bytes)
+                await self._writer.drain()
+                status, body = await asyncio.wait_for(fut, self.timeout)
+                return _unpack(op_name, status, body)
+            except TransientError as exc:
+                last = exc
             except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
                 await self.close()
                 last = exc
-                continue
-            if status in RETRYABLE_STATUSES:
-                last = TransientError(body.decode("utf-8", "replace"))
-                continue
-            return _unpack(op_name, status, body)
-        raise TransientError(
-            f"gave up after {self.retry.retries} retries: {last}") from last
+        raise self._give_up(last) from last
 
-    # -- API --------------------------------------------------------------------------
-
-    async def ping(self, payload: bytes = b"") -> bytes:
-        return await self._call("ping", protocol.encode_ping(payload))
-
-    async def get(self, key: bytes) -> bytes | None:
-        return await self._call("get", protocol.encode_get(key))
-
-    async def put(self, key: bytes, value: bytes) -> int:
-        return await self._call("put", protocol.encode_put(key, value))
-
-    async def delete(self, key: bytes) -> int:
-        return await self._call("delete", protocol.encode_delete(key))
-
-    async def write_batch(self, ops: list[tuple]) -> int:
-        return await self._call("batch", protocol.encode_batch(ops))
-
-    async def scan(self, start: bytes, count: int) -> list[tuple[bytes, bytes]]:
-        return await self._call("scan", protocol.encode_scan(start, count))
-
-    async def stats(self) -> dict:
-        return await self._call("stats", protocol.encode_stats())
-
-    async def describe(self) -> dict:
-        return await self._call("describe", protocol.encode_describe())
-
-    def batcher(self, max_ops: int = 128) -> AsyncBatcher:
-        return AsyncBatcher(self, max_ops=max_ops)
+    async def _ready(self, value):
+        return value
 
 
 # -- command-line smoke client ----------------------------------------------------------

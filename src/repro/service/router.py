@@ -209,7 +209,7 @@ class ShardRouter:
     # -- aggregation ------------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Per-shard and summed stats (core counters + WriteStallStats)."""
+        """Per-shard and aggregate stats (core counters + WriteStallStats)."""
         shards = []
         for i, store in enumerate(self.stores):
             shards.append({
@@ -250,7 +250,8 @@ def replace_config(config: UniKVConfig | None) -> UniKVConfig:
 
 
 def _aggregate(shards: list[dict]) -> dict:
-    """Sum the numeric leaves of per-shard stat dicts (dicts recurse)."""
+    """Sum the numeric leaves of per-shard stat dicts (dicts recurse);
+    high-water marks take the maximum instead."""
     out: dict = {"partitions": 0, "core": {}, "write_stall": {}}
     for entry in shards:
         out["partitions"] += entry["partitions"]
@@ -263,5 +264,7 @@ def _merge_sums(acc: dict, delta: dict) -> None:
     for key, value in delta.items():
         if isinstance(value, dict):
             _merge_sums(acc.setdefault(key, {}), value)
+        elif key.endswith("high_water"):
+            acc[key] = max(acc.get(key, 0), value)
         else:
             acc[key] = acc.get(key, 0) + value

@@ -6,6 +6,13 @@ number of frames without waiting; the server decodes them incrementally
 arrival order, and writes responses back in the same order — the ordering
 contract pipelining clients rely on.
 
+**One request handler.**  :class:`RequestHandler` does everything between
+a request payload and its response frame — decoding, running the op
+against the router, mapping failures to statuses, the :class:`ServerStats`
+counters — with no transport.  :class:`KVServer` is that handler driven
+by asyncio; the chaos harness (:mod:`repro.sim.harness`) drives the same
+handler from its deterministic tick loop.
+
 **Admission control.**  Writes consult the owning shard's maintenance
 backpressure (:meth:`ShardRouter.pressure`, fed by the scheduler's
 :class:`~repro.runtime.scheduler.WriteStallStats` machinery from PR 1)
@@ -68,10 +75,131 @@ class ServerStats:
     shed_writes: int = 0
     too_large_frames: int = 0
     bad_requests: int = 0
+    #: failed requests, crashed-shard rejections included
     errors: int = 0
+    #: requests answered RETRY because a shard's device had crashed
+    crashed_rejections: int = 0
 
     def as_dict(self) -> dict:
         return self.__dict__.copy()
+
+
+class RequestHandler:
+    """Everything between a request payload and its response frame.
+
+    Transport-free and synchronous: :class:`KVServer` drives it from
+    asyncio (adding write admission and the store lock), the chaos
+    harness's ``SimServer`` drives it from a deterministic tick loop.
+    """
+
+    def __init__(self, router: ShardRouter, *,
+                 max_frame_bytes: int = MAX_FRAME_BYTES,
+                 max_scan_items: int = 10_000) -> None:
+        self.router = router
+        self.max_frame_bytes = max_frame_bytes
+        self.max_scan_items = max_scan_items
+        self.stats = ServerStats()
+        #: server-side observability, recorded by the transport on the wall
+        #: clock (perf_counter), unlike the stores' registries which run on
+        #: the schedulers' virtual clocks
+        self.metrics = MetricsRegistry()
+
+    def handle(self, item: bytes | FrameTooLarge) -> bytes:
+        """Decode and execute one request; returns the response frame."""
+        request = self.decode(item)
+        if isinstance(request, bytes):
+            return request
+        return self.execute(request)
+
+    def decode(self, item: bytes | FrameTooLarge) -> protocol.Request | bytes:
+        """The decoded request, or the error response for an undecodable one."""
+        self.stats.requests += 1
+        if isinstance(item, FrameTooLarge):
+            self.stats.too_large_frames += 1
+            return protocol.encode_response(
+                Status.TOO_LARGE,
+                b"frame of %d bytes exceeds limit %d"
+                % (item.declared_size, self.max_frame_bytes))
+        try:
+            return protocol.decode_request(item)
+        except ProtocolError as exc:
+            self.stats.bad_requests += 1
+            return protocol.encode_response(Status.BAD_REQUEST, str(exc).encode())
+
+    def execute(self, request: protocol.Request) -> bytes:
+        """Run ``request`` against the router; failures become statuses."""
+        try:
+            return self._run(request)
+        except Exception as exc:  # a failing request must not kill the stream
+            return self.failure(exc)
+
+    def failure(self, exc: Exception) -> bytes:
+        """The response for a request that raised ``exc``."""
+        self.stats.errors += 1
+        if isinstance(exc, DiskCrashed):
+            # A shard's device failed mid-operation.  That's transient from
+            # the client's point of view — the operator (or chaos harness)
+            # recovers the shard and re-attaches it — so steer the client
+            # to its retry path rather than reporting a hard error.
+            self.stats.crashed_rejections += 1
+            return protocol.encode_response(
+                Status.RETRY, f"shard device crashed: {exc}".encode())
+        return protocol.encode_response(
+            Status.ERROR, f"{type(exc).__name__}: {exc}".encode())
+
+    def _run(self, request: protocol.Request) -> bytes:
+        router = self.router
+        op = request.op
+        if op == Op.GET:
+            value = router.get(request.key)
+            if value is None:
+                return protocol.encode_response(Status.NOT_FOUND)
+            return protocol.encode_response(
+                Status.OK, protocol.encode_value_body(value))
+        if op == Op.SCAN:
+            pairs = router.scan(request.key, min(request.count, self.max_scan_items))
+            return protocol.encode_response(
+                Status.OK, protocol.encode_pairs_body(pairs))
+        if op == Op.PING:
+            return protocol.encode_response(
+                Status.OK, protocol.encode_value_body(request.key))
+        if op == Op.STATS:
+            return protocol.encode_response(
+                Status.OK, protocol.encode_json_body(self.stats_payload()))
+        if op == Op.DESCRIBE:
+            return protocol.encode_response(
+                Status.OK, protocol.encode_json_body(router.describe()))
+        # -- writes answer with the u32 count of applied ops ---------------------------
+        if op == Op.PUT:
+            router.put(request.key, request.value)
+            applied = 1
+        elif op == Op.DELETE:
+            router.delete(request.key)
+            applied = 1
+        elif op == Op.BATCH:
+            router.write_batch(request.ops)
+            applied = len(request.ops)
+        else:  # pragma: no cover - decode_request only yields known ops
+            return protocol.encode_response(Status.BAD_REQUEST, b"unhandled op")
+        return protocol.encode_response(Status.OK, _U32.pack(applied))
+
+    def stats_payload(self) -> dict:
+        """The full STATS response body: legacy counters plus obs snapshots.
+
+        ``obs.stores`` is the shard-merged store registry view (histograms
+        merged bucket-wise, quantiles recomputed); ``obs.server`` is this
+        server's own wall-clocked registry.
+        """
+        stats = self.router.stats()
+        stats["server"] = self.stats.as_dict()
+        stats["obs"] = {
+            "server": self.metrics.snapshot(),
+            "stores": self.router.metrics_snapshot(),
+        }
+        return stats
+
+
+_WRITE_OPS = frozenset({Op.PUT, Op.DELETE, Op.BATCH})
 
 
 class _Connection:
@@ -82,7 +210,7 @@ class _Connection:
         self.consecutive_sheds = 0
 
 
-class KVServer:
+class KVServer(RequestHandler):
     """Pipelined TCP front end for a sharded UniKV deployment."""
 
     def __init__(self, router: ShardRouter, host: str = "127.0.0.1",
@@ -96,22 +224,17 @@ class KVServer:
                  close_router_on_stop: bool = True) -> None:
         if admission not in ("delay", "shed"):
             raise ValueError("admission must be 'delay' or 'shed'")
-        self.router = router
+        super().__init__(router, max_frame_bytes=max_frame_bytes,
+                         max_scan_items=max_scan_items)
         self.host = host
         self.port = port
-        self.max_frame_bytes = max_frame_bytes
         self.admission = admission
         self.slowdown_delay_s = slowdown_delay_s
         self.max_delay_s = max_delay_s
         self.max_consecutive_sheds = max_consecutive_sheds
         #: per-shard stall_events watermark from the last write admission
         self._stall_marks: dict[int, int] = {}
-        self.max_scan_items = max_scan_items
         self.close_router_on_stop = close_router_on_stop
-        self.stats = ServerStats()
-        #: server-side observability; wall clock (perf_counter), unlike the
-        #: stores' registries which run on the schedulers' virtual clocks
-        self.metrics = MetricsRegistry()
         self._inflight = 0
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[_Connection] = set()
@@ -210,101 +333,19 @@ class KVServer:
     async def _dispatch(self, item: bytes | FrameTooLarge,
                         conn: _Connection) -> tuple[str, bytes]:
         """(op label for metrics, encoded response)."""
-        self.stats.requests += 1
-        if isinstance(item, FrameTooLarge):
-            self.stats.too_large_frames += 1
-            return "invalid", protocol.encode_response(
-                Status.TOO_LARGE,
-                b"frame of %d bytes exceeds limit %d"
-                % (item.declared_size, self.max_frame_bytes))
-        try:
-            request = protocol.decode_request(item)
-        except ProtocolError as exc:
-            self.stats.bad_requests += 1
-            return "invalid", protocol.encode_response(
-                Status.BAD_REQUEST, str(exc).encode())
+        request = self.decode(item)
+        if isinstance(request, bytes):
+            return "invalid", request
         op_name = request.op.name.lower()
-        try:
-            return op_name, await self._execute(request, conn)
-        except DiskCrashed as exc:
-            # A shard's device failed mid-operation.  That's transient from
-            # the client's point of view — the operator (or chaos harness)
-            # recovers the shard and re-attaches it — so steer the client
-            # to its retry path rather than reporting a hard error.
-            self.stats.errors += 1
-            return op_name, protocol.encode_response(
-                Status.RETRY, f"shard device crashed: {exc}".encode())
-        except Exception as exc:  # a failing request must not kill the stream
-            self.stats.errors += 1
-            return op_name, protocol.encode_response(
-                Status.ERROR, f"{type(exc).__name__}: {exc}".encode())
-
-    async def _execute(self, request: protocol.Request,
-                       conn: _Connection) -> bytes:
-        router = self.router
-        op = request.op
-        if op == Op.PING:
-            return protocol.encode_response(
-                Status.OK, protocol.encode_value_body(request.key))
-        if op == Op.GET:
-            async with self._store_lock:
-                value = router.get(request.key)
-            if value is None:
-                return protocol.encode_response(Status.NOT_FOUND)
-            return protocol.encode_response(
-                Status.OK, protocol.encode_value_body(value))
-        if op == Op.SCAN:
-            count = min(request.count, self.max_scan_items)
-            async with self._store_lock:
-                pairs = router.scan(request.key, count)
-            return protocol.encode_response(
-                Status.OK, protocol.encode_pairs_body(pairs))
-        if op == Op.STATS:
-            return protocol.encode_response(
-                Status.OK, protocol.encode_json_body(self.stats_payload()))
-        if op == Op.DESCRIBE:
-            return protocol.encode_response(
-                Status.OK, protocol.encode_json_body(router.describe()))
-        # -- writes: admission control first ------------------------------------------
-        if op == Op.PUT:
-            shards = [router.shard_index(request.key)]
-        elif op == Op.DELETE:
-            shards = [router.shard_index(request.key)]
-        elif op == Op.BATCH:
-            shards = sorted(router.split_batch(request.ops))
-        else:  # pragma: no cover - decode_request only yields known ops
-            return protocol.encode_response(Status.BAD_REQUEST, b"unhandled op")
-        rejection = await self._admit_write(shards, conn)
-        if rejection is not None:
-            return rejection
+        if request.op in _WRITE_OPS:
+            try:
+                rejection = await self._admit_write(request, conn)
+            except Exception as exc:  # a failing request must not kill the stream
+                rejection = self.failure(exc)
+            if rejection is not None:
+                return op_name, rejection
         async with self._store_lock:
-            if op == Op.PUT:
-                router.put(request.key, request.value)
-                applied = 1
-            elif op == Op.DELETE:
-                router.delete(request.key)
-                applied = 1
-            else:
-                router.write_batch(request.ops)
-                applied = len(request.ops)
-        return protocol.encode_response(Status.OK, _U32.pack(applied))
-
-    # -- stats ------------------------------------------------------------------------
-
-    def stats_payload(self) -> dict:
-        """The full STATS response body: legacy counters plus obs snapshots.
-
-        ``obs.stores`` is the shard-merged store registry view (histograms
-        merged bucket-wise, quantiles recomputed); ``obs.server`` is this
-        server's own wall-clocked registry.
-        """
-        stats = self.router.stats()
-        stats["server"] = self.stats.as_dict()
-        stats["obs"] = {
-            "server": self.metrics.snapshot(),
-            "stores": self.router.metrics_snapshot(),
-        }
-        return stats
+            return op_name, self.execute(request)
 
     # -- admission control ------------------------------------------------------------
 
@@ -328,10 +369,15 @@ class KVServer:
                 worst, severity = pressure, delta
         return worst, severity
 
-    async def _admit_write(self, shard_indexes,
+    async def _admit_write(self, request: protocol.Request,
                            conn: _Connection) -> bytes | None:
-        """Apply the admission policy; a non-None return is the rejection."""
-        pressure, severity = self._probe_pressure(shard_indexes)
+        """Apply the admission policy to a write; a non-None return is the
+        rejection."""
+        if request.op == Op.BATCH:
+            shards = sorted(self.router.split_batch(request.ops))
+        else:
+            shards = [self.router.shard_index(request.key)]
+        pressure, severity = self._probe_pressure(shards)
         if severity <= 0:
             conn.consecutive_sheds = 0
             return None

@@ -25,10 +25,11 @@ from dataclasses import dataclass, field
 
 from repro.core.config import UniKVConfig
 from repro.core.store import UniKV
-from repro.env.storage import DiskCrashed, SimulatedDisk
+from repro.env.storage import SimulatedDisk
 from repro.service import protocol
-from repro.service.protocol import Op, Status
+from repro.service.protocol import Status
 from repro.service.router import ShardRouter, default_boundaries, replace_config
+from repro.service.server import RequestHandler
 from repro.sim.faults import NO_FAULTS, ChaosConnection, FaultConfig
 from repro.sim.oracle import ABSENT, History, Violation, check
 
@@ -69,60 +70,11 @@ def sim_store_config(seed: int = 0) -> UniKVConfig:
     )
 
 
-class SimServer:
-    """Synchronous request dispatcher over a :class:`ShardRouter`.
-
-    The semantics mirror :class:`~repro.service.server.KVServer` —
-    including :class:`DiskCrashed` surfacing as ``Status.RETRY`` — minus
-    the asyncio plumbing and admission control, which have no place in a
-    deterministic tick loop.
-    """
-
-    def __init__(self, router: ShardRouter) -> None:
-        self.router = router
-        self.requests = 0
-        self.errors = 0
-        self.crashed_rejections = 0
-
-    def handle(self, payload: bytes) -> bytes:
-        self.requests += 1
-        try:
-            request = protocol.decode_request(payload)
-        except protocol.ProtocolError as exc:
-            return protocol.encode_response(Status.BAD_REQUEST, str(exc).encode())
-        try:
-            return self._execute(request)
-        except DiskCrashed as exc:
-            self.crashed_rejections += 1
-            return protocol.encode_response(
-                Status.RETRY, f"shard device crashed: {exc}".encode())
-        except Exception as exc:  # noqa: BLE001 - must not kill the stream
-            self.errors += 1
-            return protocol.encode_response(
-                Status.ERROR, f"{type(exc).__name__}: {exc}".encode())
-
-    def _execute(self, request: protocol.Request) -> bytes:
-        router = self.router
-        if request.op == Op.GET:
-            value = router.get(request.key)
-            if value is None:
-                return protocol.encode_response(Status.NOT_FOUND)
-            return protocol.encode_response(
-                Status.OK, protocol.encode_value_body(value))
-        if request.op == Op.PUT:
-            router.put(request.key, request.value)
-            return protocol.encode_response(Status.OK)
-        if request.op == Op.DELETE:
-            router.delete(request.key)
-            return protocol.encode_response(Status.OK)
-        if request.op == Op.SCAN:
-            pairs = router.scan(request.key, request.count)
-            return protocol.encode_response(
-                Status.OK, protocol.encode_pairs_body(pairs))
-        if request.op == Op.PING:
-            return protocol.encode_response(
-                Status.OK, protocol.encode_value_body(request.key))
-        return protocol.encode_response(Status.BAD_REQUEST, b"unhandled op")
+#: The production request handler, driven by the tick loop
+#: (:meth:`SimHarness._server_tick`).  Only the asyncio plumbing and
+#: admission control are left out; they have no place in a deterministic
+#: tick loop.
+SimServer = RequestHandler
 
 
 class SimClient:
@@ -431,9 +383,9 @@ class SimHarness:
             final_keys=len(final_state),
             crashes=self.crashes,
             recoveries=self.recoveries,
-            server_requests=self.server.requests,
-            server_errors=self.server.errors,
-            crashed_rejections=self.server.crashed_rejections,
+            server_requests=self.server.stats.requests,
+            server_errors=self.server.stats.errors,
+            crashed_rejections=self.server.stats.crashed_rejections,
             timeouts=sum(c.timeouts for c in self.clients),
             retry_responses=sum(c.retry_responses for c in self.clients),
             transport=self._transport_stats(),

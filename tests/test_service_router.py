@@ -106,6 +106,16 @@ def test_stats_aggregates_per_shard_write_stall_and_core():
     assert all(s["core"]["flushes"] > 0 for s in stats["shards"])
 
 
+def test_stats_aggregate_high_water_is_the_max_not_the_sum():
+    router = make_router(2)
+    router.stores[0].scheduler.stats.queue_depth_high_water = 3
+    router.stores[1].scheduler.stats.queue_depth_high_water = 5
+    stats = router.stats()
+    assert [s["write_stall"]["queue_depth_high_water"]
+            for s in stats["shards"]] == [3, 5]
+    assert stats["aggregate"]["write_stall"]["queue_depth_high_water"] == 5
+
+
 def test_close_is_idempotent_and_closes_every_shard():
     router = make_router(2)
     router.put(make_key(1), b"v")

@@ -2,6 +2,7 @@
 
 import asyncio
 import contextlib
+import inspect
 import threading
 
 import pytest
@@ -65,10 +66,11 @@ async def _e2e_two_shards():
             assert (stats["shards"][i]["write_stall"]
                     == store.scheduler.stats.as_dict())
         agg = stats["aggregate"]["write_stall"]
-        for field in ("flushes", "stall_seconds", "stall_events",
-                      "queue_depth_high_water"):
+        for field in ("flushes", "stall_seconds", "stall_events"):
             assert agg[field] == pytest.approx(sum(
                 s["write_stall"][field] for s in stats["shards"]))
+        assert agg["queue_depth_high_water"] == max(
+            s["write_stall"]["queue_depth_high_water"] for s in stats["shards"])
         # UniKV counts its flush jobs in the scheduler's job ledger.
         assert agg["job_counts"]["flush"] > 0
         for kind, count in agg["job_counts"].items():
@@ -385,6 +387,70 @@ def test_sync_client_retries_on_shed_backpressure():
                 assert client.get(make_key(i)) == b"z" * 64
     finally:
         harness.stop()
+
+
+# -- one Batcher under both clients -----------------------------------------------------
+
+async def _settle(result):
+    """Await ``result`` under the async client; pass it through otherwise."""
+    return await result if inspect.isawaitable(result) else result
+
+
+@contextlib.asynccontextmanager
+async def _batch_block(client, max_ops):
+    """``with`` / ``async with client.batcher(...)``, whichever fits the client."""
+    batch = client.batcher(max_ops=max_ops)
+    if isinstance(client, AsyncKVClient):
+        async with batch:
+            yield batch
+    else:
+        with batch:
+            yield batch
+
+
+@pytest.mark.parametrize("client_cls", [KVClient, AsyncKVClient],
+                         ids=["sync", "async"])
+def test_batcher_under_both_clients(client_cls):
+    harness = SyncServerHarness()
+    try:
+        asyncio.run(_batcher_scenario(client_cls(port=harness.server.port),
+                                      harness.server))
+    finally:
+        harness.stop()
+
+
+async def _batcher_scenario(client, server):
+    try:
+        # A flush happens exactly when max_ops ops are buffered.
+        batch = client.batcher(max_ops=3)
+        assert await _settle(batch.put(b"a0", b"0")) == 0
+        assert await _settle(batch.put(b"a1", b"1")) == 0
+        assert batch.flushes == 0 and len(batch.ops) == 2
+        assert await _settle(batch.delete(b"a0")) == 3
+        assert batch.flushes == 1 and batch.ops == []
+        assert await _settle(batch.flush()) == 0  # nothing left to flush
+        assert batch.flushes == 1
+        assert await _settle(client.get(b"a0")) is None
+        assert await _settle(client.get(b"a1")) == b"1"
+
+        # A clean exit flushes the tail: 4 + 4 + 2.
+        async with _batch_block(client, max_ops=4) as batch:
+            for i in range(10):
+                await _settle(batch.put(b"t%d" % i, b"v%d" % i))
+        assert batch.flushes == 3 and batch.ops == []
+        assert await _settle(client.get(b"t9")) == b"v9"
+
+        # A raising block flushes nothing.
+        requests = server.stats.requests
+        with pytest.raises(RuntimeError):
+            async with _batch_block(client, max_ops=4) as batch:
+                await _settle(batch.put(b"x0", b"lost"))
+                raise RuntimeError("abort the batch")
+        assert batch.flushes == 0 and len(batch.ops) == 1
+        assert server.stats.requests == requests
+        assert await _settle(client.get(b"x0")) is None
+    finally:
+        await _settle(client.close())
 
 
 # -- RetryPolicy: seeded jitter on exponential backoff ----------------------------------

@@ -18,6 +18,7 @@ from repro.sim import (
     FaultConfig,
     NO_FAULTS,
     SimConfig,
+    SimHarness,
     SimServer,
     run_sim,
 )
@@ -177,9 +178,41 @@ def test_sim_server_crashed_shard_returns_retry(sim_router):
     status, body = _call(server, protocol.encode_put(b"\x00k", b"v"))
     assert status == Status.RETRY
     assert b"crashed" in body
-    assert server.crashed_rejections == 1
+    assert server.stats.crashed_rejections == 1
     # The other shard is unaffected.
     assert _call(server, protocol.encode_put(b"\xf0k", b"v"))[0] == Status.OK
+
+
+def test_sim_server_applies_batch_and_answers_applied_count(sim_router):
+    server = SimServer(sim_router)
+    ops = [("put", b"\x00a", b"1"), ("put", b"\xf0b", b"2"), ("delete", b"\x00a")]
+    status, body = _call(server, protocol.encode_batch(ops))
+    assert (status, body) == (Status.OK, (3).to_bytes(4, "little"))
+    assert sim_router.get(b"\x00a") is None
+    assert sim_router.get(b"\xf0b") == b"2"
+
+
+def test_sim_server_caps_scan_at_max_scan_items(sim_router):
+    server = SimServer(sim_router)
+    for i in range(10):
+        sim_router.put(bytes([i * 25]) + b"k", b"v")
+    server.max_scan_items = 4
+    status, body = _call(server, protocol.encode_scan(b"", 100))
+    assert status == Status.OK
+    assert len(protocol.decode_pairs_body(body)) == 4
+
+
+def test_sim_server_answers_stats_and_describe(sim_router):
+    server = SimServer(sim_router)
+    _call(server, protocol.encode_put(b"k", b"v"))
+    status, body = _call(server, protocol.encode_stats())
+    assert status == Status.OK
+    stats = protocol.decode_json_body(body)
+    assert stats["server"]["requests"] == 2
+    assert len(stats["shards"]) == 2
+    status, body = _call(server, protocol.encode_describe())
+    assert status == Status.OK
+    assert protocol.decode_json_body(body)["num_shards"] == 2
 
 
 # -- end-to-end acceptance -------------------------------------------------------------
@@ -237,3 +270,20 @@ def test_regression_seed23_simultaneous_recoveries():
     result = run_sim(23, cfg)
     assert result.ok, "\n".join(str(v) for v in result.violations)
     assert result.recoveries == result.crashes >= 1
+
+
+def test_two_recoveries_due_on_one_tick_both_reattach():
+    """Two shards crashed on the same tick come due for recovery on the
+    same tick; both must reattach, whatever traffic the seed produces."""
+    harness = SimHarness(0, _quick_config(num_crashes=0))
+    crashed = {shard: harness.router.stores[shard] for shard in (0, 2)}
+    for shard in crashed:
+        harness._fire_crash(100, shard, "immediate")
+    due = 100 + harness.config.recovery_delay
+    assert [entry[0] for entry in harness._pending_recovery] == [due, due]
+    harness._poll_crashes(due)
+    assert harness.recoveries == harness.crashes == 2
+    for shard, old in crashed.items():
+        store = harness.router.stores[shard]
+        assert store is not old and not store.disk.crashed
+    assert harness.run().ok
