@@ -2,7 +2,9 @@
 
 Holds the pieces every component needs — disk, config, manifest, file-number
 allocators, the shared-value-log reference registry (for lazy split), the
-block cache, counters, and the crash-injection hook.
+block cache, counters, and the crash-injection hook — plus the two halves
+of writing a sorted run: new tables (:meth:`StoreContext.new_table`, cut by
+:func:`repro.engine.sstable.write_run`) and the run's :class:`ValueSink`.
 """
 
 from __future__ import annotations
@@ -10,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine.block_cache import BlockCache
-from repro.engine.sstable import SSTableReader
+from repro.engine.sstable import SSTableBuilder, SSTableReader
 from repro.engine.table_cache import TableCache
-from repro.engine.vlog import VLogReader
+from repro.engine.vlog import ValuePointer, VLogReader, VLogWriter
 from repro.core.config import UniKVConfig
 from repro.core.manifest import Manifest
 from repro.env.storage import SimulatedDisk
@@ -104,6 +106,13 @@ class StoreContext:
     def log_name(log_number: int) -> str:
         return f"vlog-{log_number:06d}"
 
+    def new_table(self, tag: str) -> SSTableBuilder:
+        """A builder for the next table file, with the store's block layout."""
+        return SSTableBuilder(
+            self.disk, self.alloc_table_name(), tag=tag,
+            block_size=self.config.block_size,
+            prefix_compression=self.config.block_prefix_compression)
+
     # -- readers -----------------------------------------------------------------------
 
     def table_reader(self, name: str, streaming: bool = False) -> SSTableReader:
@@ -155,3 +164,41 @@ class StoreContext:
             name = self.log_name(log_number)
             if self.disk.exists(name):
                 self.disk.delete(name)
+
+
+class ValueSink:
+    """The value side of one sorted run (merge, GC or one split part).
+
+    The run's value log is created on the first separated value — a run
+    that separates nothing creates no log — and every value the run's
+    pointers reference, new or carried, is counted in ``live_value_bytes``.
+    """
+
+    def __init__(self, ctx: StoreContext, partition_id: int, tag: str) -> None:
+        self._ctx = ctx
+        self._partition_id = partition_id
+        self._tag = tag
+        self._writer: VLogWriter | None = None
+        self.log_number: int | None = None
+        self.live_value_bytes = 0
+
+    def separate(self, key: bytes, value: bytes) -> bytes:
+        """Append ``value`` to the run's log; returns the encoded pointer."""
+        if self._writer is None:
+            self.log_number = self._ctx.alloc_log_number()
+            self._writer = VLogWriter(
+                self._ctx.disk, self._ctx.log_name(self.log_number),
+                partition=self._partition_id, log_number=self.log_number,
+                tag=self._tag)
+        ptr = self._writer.append(key, value)
+        self.live_value_bytes += ptr.length
+        return ptr.encode()
+
+    def carry(self, pointer: bytes) -> None:
+        """Count an old pointer kept as is (its value stays in its log)."""
+        self.live_value_bytes += ValuePointer.decode(pointer).length
+
+    def close(self) -> None:
+        """Make the log durable; call after the run's tables are finished."""
+        if self._writer is not None:
+            self._writer.close()

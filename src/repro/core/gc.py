@@ -22,9 +22,9 @@ and releases them.
 from __future__ import annotations
 
 from repro.engine.keys import KIND_VALUE, KIND_VPTR
-from repro.engine.sstable import SSTableBuilder, TableMeta
-from repro.engine.vlog import ValuePointer, VLogWriter
-from repro.core.context import StoreContext
+from repro.engine.sstable import write_run
+from repro.engine.vlog import ValuePointer
+from repro.core.context import StoreContext, ValueSink
 from repro.core.manifest import meta_to_json
 from repro.core.partition import Partition
 
@@ -58,38 +58,17 @@ def run_gc(ctx: StoreContext, partition: Partition) -> None:
                 values[(log_number, offset)] = value
 
     # Step 2b/3: write values to a new log and new pointers+keys to new tables.
-    new_log: int | None = None
-    log_writer: VLogWriter | None = None
-    new_tables: list[TableMeta] = []
-    builder: SSTableBuilder | None = None
-    live_value_bytes = 0
-    for key, kind, item in live:
-        if kind == KIND_VALUE:
-            record_kind, payload = KIND_VALUE, item
-        else:
-            old_ptr = item
-            value = values[(old_ptr.log_number, old_ptr.offset)]
-            if log_writer is None:
-                new_log = ctx.alloc_log_number()
-                log_writer = VLogWriter(ctx.disk, ctx.log_name(new_log),
-                                        partition=partition.id,
-                                        log_number=new_log, tag="gc")
-            new_ptr = log_writer.append(key, value)
-            live_value_bytes += new_ptr.length
-            record_kind, payload = KIND_VPTR, new_ptr.encode()
-        if builder is None:
-            builder = SSTableBuilder(
-                ctx.disk, ctx.alloc_table_name(), tag="gc",
-                block_size=ctx.config.block_size,
-                prefix_compression=ctx.config.block_prefix_compression)
-        builder.add(key, record_kind, payload)
-        if builder.estimated_size >= ctx.config.sstable_size:
-            new_tables.append(builder.finish())
-            builder = None
-    if builder is not None and builder.num_entries:
-        new_tables.append(builder.finish())
-    if log_writer is not None:
-        log_writer.close()
+    sink = ValueSink(ctx, partition.id, tag="gc")
+
+    def rewritten():
+        for key, kind, item in live:
+            if kind == KIND_VPTR:
+                item = sink.separate(key, values[(item.log_number, item.offset)])
+            yield key, kind, item
+
+    new_tables = write_run(rewritten(), lambda: ctx.new_table("gc"),
+                           ctx.config.sstable_size)
+    sink.close()
 
     ctx.crash_point("gc:before_commit")
 
@@ -101,18 +80,18 @@ def run_gc(ctx: StoreContext, partition: Partition) -> None:
         "partition": partition.id,
         "removed_tables": old_tables,
         "added_tables": [meta_to_json(m) for m in new_tables],
-        "new_log": new_log,
+        "new_log": sink.log_number,
         "released_logs": released,
-        "live_value_bytes": live_value_bytes,
+        "live_value_bytes": sink.live_value_bytes,
     })
     ctx.crash_point("gc:after_commit")
 
     partition.sorted.replace_tables(new_tables)
-    partition.sorted.live_value_bytes = live_value_bytes
+    partition.sorted.live_value_bytes = sink.live_value_bytes
     for log_number in released:
         partition.release_log(log_number)
-    if new_log is not None:
-        partition.add_log(new_log)
+    if sink.log_number is not None:
+        partition.add_log(sink.log_number)
     for name in old_tables:
         ctx.drop_table(name)
     ctx.stats.gc_runs += 1

@@ -55,6 +55,16 @@ def recover_store(store, disk: SimulatedDisk) -> None:
         for meta in metas:
             max_table = max(max_table, int(meta.name.rsplit("-", 1)[1]))
 
+    def install_run(state: _PartitionState, tables: list[dict], run: dict) -> None:
+        """Make a committed merge/GC/split run ``state``'s SortedStore."""
+        nonlocal max_log
+        state.sorted = [meta_from_json(m) for m in tables]
+        if run["new_log"] is not None:
+            state.logs.add(run["new_log"])
+            max_log = max(max_log, run["new_log"])
+        state.live_value_bytes = run["live_value_bytes"]
+        see_tables(state.sorted)
+
     for record in manifest.replay():
         rtype = record["type"]
         if rtype == "init":
@@ -72,46 +82,24 @@ def recover_store(store, disk: SimulatedDisk) -> None:
             state.unsorted = {record["table_id"]: meta}
             see_tables([meta])
             checkpoints.pop(record["partition"], None)
-        elif rtype == "merge":
+        elif rtype in ("merge", "gc"):
             state = parts[record["partition"]]
-            added = [meta_from_json(m) for m in record["added_tables"]]
-            state.unsorted = {}
-            state.sorted = added
             state.logs -= set(record.get("released_logs", []))
-            if record["new_log"] is not None:
-                state.logs.add(record["new_log"])
-                max_log = max(max_log, record["new_log"])
-            state.live_value_bytes = record["live_value_bytes"]
-            see_tables(added)
-            checkpoints.pop(record["partition"], None)
-        elif rtype == "gc":
-            state = parts[record["partition"]]
-            added = [meta_from_json(m) for m in record["added_tables"]]
-            state.sorted = added
-            state.logs -= set(record["released_logs"])
-            if record["new_log"] is not None:
-                state.logs.add(record["new_log"])
-                max_log = max(max_log, record["new_log"])
-            state.live_value_bytes = record["live_value_bytes"]
-            see_tables(added)
+            install_run(state, record["added_tables"], record)
+            if rtype == "merge":
+                state.unsorted = {}
+                checkpoints.pop(record["partition"], None)
         elif rtype == "split":
-            old = parts.pop(record["old_partition"])
+            del parts[record["old_partition"]]
             for info in record["parts"]:
-                new = _PartitionState(bytes.fromhex(info["lower"]))
-                new.sorted = [meta_from_json(m) for m in info["tables"]]
+                new = parts[info["id"]] = _PartitionState(bytes.fromhex(info["lower"]))
                 new.logs = set(record["shared_logs"])
-                if info["new_log"] is not None:
-                    new.logs.add(info["new_log"])
-                    max_log = max(max_log, info["new_log"])
-                new.live_value_bytes = info["live_value_bytes"]
-                parts[info["id"]] = new
+                install_run(new, info["tables"], info)
                 max_pid = max(max_pid, info["id"])
-                see_tables(new.sorted)
             checkpoints.pop(record["old_partition"], None)
             # The old partition's WAL is retired: its memtable entries were
             # folded into the split output tables.
             wal_names.pop(record["old_partition"], None)
-            del old
         elif rtype == "checkpoint":
             checkpoints[record["partition"]] = (record["file"], record["covered"])
             max_ckpt = max(max_ckpt, int(record["file"].rsplit("-", 1)[1]))

@@ -20,11 +20,10 @@ One manifest record commits the whole transition atomically.
 from __future__ import annotations
 
 from repro.engine.iterators import merge_sorted
-from repro.engine.keys import KIND_VALUE, KIND_VPTR
-from repro.engine.sstable import SSTableBuilder, TableMeta
-from repro.engine.vlog import ValuePointer, VLogWriter
-from repro.core.context import StoreContext
+from repro.engine.sstable import write_run
+from repro.core.context import StoreContext, ValueSink
 from repro.core.manifest import meta_to_json
+from repro.core.merge import separate_values
 from repro.core.partition import Partition
 
 
@@ -43,7 +42,7 @@ def split_partition(ctx: StoreContext, partition: Partition) -> list[Partition] 
     sources = [partition.mem.entries()]
     sources.extend(partition.unsorted.all_entry_sources(tag="split"))
     sources.append(partition.sorted.all_entries(tag="split"))
-    records = [r for r in merge_sorted(sources, drop_tombstones=True)]
+    records = list(merge_sorted(sources, drop_tombstones=True))
     if len(records) < 2:
         return None
     boundary = records[len(records) // 2][0]
@@ -58,50 +57,22 @@ def split_partition(ctx: StoreContext, partition: Partition) -> list[Partition] 
     for lower, part_records in halves:
         new_id = ctx.alloc_partition_id()
         part = Partition(ctx, new_id, lower)
-        log_number: int | None = None
-        log_writer: VLogWriter | None = None
-        tables: list[TableMeta] = []
-        builder: SSTableBuilder | None = None
-        live_value_bytes = 0
-        inline_below = ctx.config.inline_value_threshold
-        for key, kind, payload in part_records:
-            if kind == KIND_VALUE and len(payload) >= inline_below:
-                # Eager split of the UnsortedStore's inline values.
-                if log_writer is None:
-                    log_number = ctx.alloc_log_number()
-                    log_writer = VLogWriter(ctx.disk, ctx.log_name(log_number),
-                                            partition=new_id,
-                                            log_number=log_number, tag="split")
-                ptr = log_writer.append(key, payload)
-                live_value_bytes += ptr.length
-                payload = ptr.encode()
-                kind = KIND_VPTR
-            elif kind == KIND_VPTR:
-                # Lazy split: the value stays where it is, behind its pointer.
-                live_value_bytes += ValuePointer.decode(payload).length
-            # (small KIND_VALUE records stay inline: selective KV separation)
-            if builder is None:
-                builder = SSTableBuilder(
-                    ctx.disk, ctx.alloc_table_name(), tag="split",
-                    block_size=ctx.config.block_size,
-                    prefix_compression=ctx.config.block_prefix_compression)
-            builder.add(key, kind, payload)
-            if builder.estimated_size >= ctx.config.sstable_size:
-                tables.append(builder.finish())
-                builder = None
-        if builder is not None and builder.num_entries:
-            tables.append(builder.finish())
-        if log_writer is not None:
-            log_writer.close()
+        # Eager split of the inline values, lazy split of the separated
+        # ones: exactly a merge's partial KV separation, into the new
+        # partition's own log.
+        sink = ValueSink(ctx, new_id, tag="split")
+        tables = write_run(separate_values(ctx, sink, part_records),
+                           lambda: ctx.new_table("split"), ctx.config.sstable_size)
+        sink.close()
         part.sorted.replace_tables(tables)
-        part.sorted.live_value_bytes = live_value_bytes
+        part.sorted.live_value_bytes = sink.live_value_bytes
         new_parts.append(part)
         committed.append({
             "id": new_id,
             "lower": lower.hex(),
             "tables": [meta_to_json(m) for m in tables],
-            "new_log": log_number,
-            "live_value_bytes": live_value_bytes,
+            "new_log": sink.log_number,
+            "live_value_bytes": sink.live_value_bytes,
         })
 
     ctx.crash_point("split:before_commit")

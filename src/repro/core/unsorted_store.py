@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.engine.sstable import SSTableBuilder, TableMeta
+from repro.engine.sstable import TableMeta
 from repro.core.context import StoreContext
 from repro.core.hash_index import HashIndex
 
@@ -85,7 +85,7 @@ class UnsortedStore:
         limit = self._ctx.config.scan_merge_limit
         return limit > 0 and len(self.tables) >= limit
 
-    def scan_merge(self, next_table_id: int) -> tuple[list[str], TableMeta, list[bytes]]:
+    def scan_merge(self) -> tuple[list[str], TableMeta, list[bytes]]:
         """Merge every table into one globally sorted table.
 
         Returns (old table names, new meta, keys of the merged table); the
@@ -95,11 +95,7 @@ class UnsortedStore:
         """
         from repro.engine.iterators import merge_sorted
 
-        ctx = self._ctx
-        builder = SSTableBuilder(
-            ctx.disk, ctx.alloc_table_name(), tag="scan_merge",
-            block_size=ctx.config.block_size,
-            prefix_compression=ctx.config.block_prefix_compression)
+        builder = self._ctx.new_table("scan_merge")
         keys: list[bytes] = []
         for key, kind, value in merge_sorted(self.all_entry_sources(tag="scan_merge")):
             builder.add(key, kind, value)

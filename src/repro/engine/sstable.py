@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 import zlib
 from bisect import bisect_left
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.engine.block import Block, BlockBuilder, DEFAULT_BLOCK_SIZE
 from repro.engine.block_cache import BlockCache
@@ -123,6 +123,29 @@ class SSTableBuilder:
             num_entries=self.num_entries,
             file_size=self._disk.size(self.name),
         )
+
+
+def write_run(records: Iterable[tuple[bytes, int, bytes]],
+              new_builder: Callable[[], SSTableBuilder],
+              target_bytes: int) -> list[TableMeta]:
+    """Write a sorted record stream as a run of tables; returns their metas.
+
+    A table is opened when a record arrives and none is open (an empty
+    stream creates no file), finished once its estimated size reaches
+    ``target_bytes``, and the tail table is finished at the end.
+    """
+    tables: list[TableMeta] = []
+    builder: SSTableBuilder | None = None
+    for key, kind, value in records:
+        if builder is None:
+            builder = new_builder()
+        builder.add(key, kind, value)
+        if builder.estimated_size >= target_bytes:
+            tables.append(builder.finish())
+            builder = None
+    if builder is not None:
+        tables.append(builder.finish())
+    return tables
 
 
 class TableMeta:

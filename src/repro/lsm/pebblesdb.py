@@ -22,7 +22,7 @@ from repro.engine.block_cache import BlockCache
 from repro.engine.iterators import merge_sorted
 from repro.engine.keys import KIND_TOMBSTONE, KIND_VALUE
 from repro.engine.memtable import MemTable
-from repro.engine.sstable import SSTableBuilder, SSTableReader, TableMeta
+from repro.engine.sstable import SSTableBuilder, SSTableReader, TableMeta, write_run
 from repro.engine.table_cache import TableCache
 from repro.engine.wal import WalWriter
 from repro.env.storage import SimulatedDisk
@@ -186,8 +186,7 @@ class PebblesDBStore(KVStore):
         sources = [self._compaction_reader(f.name).entries(tag="compaction")
                    for f in inputs]
         merged = merge_sorted(sources, drop_tombstones=self._empty_below(0))
-        self._append_fragments(target_level=0, records=merged,
-                               input_bytes=sum(f.file_size for f in inputs))
+        self._append_fragments(target_level=0, records=merged)
         self._l0 = []
         for stale in inputs:
             self._drop_file(stale.name)
@@ -200,37 +199,27 @@ class PebblesDBStore(KVStore):
             return
         sources = [self._compaction_reader(f.name).entries(tag="compaction")
                    for f in inputs]
-        input_bytes = sum(f.file_size for f in inputs)
         # The deepest level holding data acts as the bottom: overflowing
         # guards there consolidate in place and split into new guards,
         # which is how the FLSM's guard population grows with the dataset.
         last_level = (level_index == len(self._levels) - 1
                       or self._empty_below(level_index + 1))
         if last_level:
-            self._consolidate_guard(level_index, guard, sources, input_bytes)
+            self._consolidate_guard(level_index, guard, sources)
         else:
             merged = merge_sorted(sources, drop_tombstones=self._empty_below(level_index + 1))
-            self._append_fragments(target_level=level_index + 1, records=merged,
-                                   input_bytes=input_bytes)
+            self._append_fragments(target_level=level_index + 1, records=merged)
             guard.files = []
             for stale in inputs:
                 self._drop_file(stale.name)
             self._cascade_overflows(level_index + 1)
 
     def _consolidate_guard(self, level_index: int, guard: _Guard,
-                           sources: list[Iterator[Record]], input_bytes: int) -> None:
+                           sources: list[Iterator[Record]]) -> None:
         """Bottom level: rewrite a guard as single-file guards (tombstones drop)."""
-        outputs: list[TableMeta] = []
-        builder: SSTableBuilder | None = None
-        for record in merge_sorted(sources, drop_tombstones=True):
-            if builder is None:
-                builder = self._new_builder(tag="compaction")
-            builder.add(*record)
-            if builder.estimated_size >= self.config.sstable_size:
-                outputs.append(builder.finish())
-                builder = None
-        if builder is not None and builder.num_entries:
-            outputs.append(builder.finish())
+        outputs = write_run(merge_sorted(sources, drop_tombstones=True),
+                            lambda: self._new_builder(tag="compaction"),
+                            self.config.sstable_size)
         stale = list(guard.files)
         guards = self._levels[level_index]
         slot = guards.index(guard)
@@ -245,24 +234,18 @@ class PebblesDBStore(KVStore):
         for f in stale:
             self._drop_file(f.name)
         self.stats.compactions += 1
-        self.stats.compaction_input_bytes += input_bytes
-        self.stats.compaction_output_bytes += sum(f.file_size for f in outputs)
 
-    def _append_fragments(self, target_level: int, records: Iterator[Record],
-                          input_bytes: int) -> None:
+    def _append_fragments(self, target_level: int, records: Iterator[Record]) -> None:
         """Cut a merged record stream at guard boundaries of ``target_level``."""
         guards = self._levels[target_level]
         boundaries = [g.key for g in guards[1:]]
         builder: SSTableBuilder | None = None
         guard_of_builder = 0
-        output_bytes = 0
 
         def finish() -> None:
-            nonlocal builder, output_bytes
+            nonlocal builder
             if builder is not None and builder.num_entries:
-                meta = builder.finish()
-                guards[guard_of_builder].files.insert(0, meta)
-                output_bytes += meta.file_size
+                guards[guard_of_builder].files.insert(0, builder.finish())
             builder = None
 
         # One fragment file per guard (cut at guard boundaries only): this is
@@ -279,8 +262,6 @@ class PebblesDBStore(KVStore):
             builder.add(key, kind, value)
         finish()
         self.stats.compactions += 1
-        self.stats.compaction_input_bytes += input_bytes
-        self.stats.compaction_output_bytes += output_bytes
 
     def _cascade_overflows(self, level_index: int) -> None:
         for li in range(level_index, len(self._levels)):

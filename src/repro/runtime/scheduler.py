@@ -49,8 +49,6 @@ class WriteStallStats:
 
     flushes: int = 0
     compactions: int = 0
-    compaction_input_bytes: int = 0
-    compaction_output_bytes: int = 0
     gc_runs: int = 0
     #: foreground seconds injected by slowdown/stop backpressure
     stall_seconds: float = 0.0
@@ -69,8 +67,6 @@ class WriteStallStats:
         return {
             "flushes": self.flushes,
             "compactions": self.compactions,
-            "compaction_input_bytes": self.compaction_input_bytes,
-            "compaction_output_bytes": self.compaction_output_bytes,
             "gc_runs": self.gc_runs,
             "stall_seconds": self.stall_seconds,
             "stall_events": self.stall_events,
