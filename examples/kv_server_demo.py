@@ -47,11 +47,12 @@ async def main() -> None:
         pairs = await client.scan(make_key(495), 10)
         print("scan across shards->", [k.decode() for k, __ in pairs])
 
-        # -- aggregated per-shard stats (server + WriteStallStats) -------------
+        # -- aggregated per-shard stats (server + maintenance ledger) ---------
         stats = await client.stats()
         for shard in stats["shards"]:
+            flushes = shard["write_stall"]["job_counts"].get("flush", 0)
             print(f"shard {shard['shard']}: partitions={shard['partitions']} "
-                  f"flushes={shard['core']['flushes']}")
+                  f"flushes={flushes}")
         print("server requests   ->", stats["server"]["requests"])
 
     await server.stop()   # graceful drain: flushes memtables, closes shards

@@ -30,12 +30,14 @@ def main() -> None:
     # -- watch the structure react to volume ------------------------------------
     for i in range(20000):
         db.put(b"item:%08d" % i, b"payload-%d" % i)
+    # describe() is the structure; the scheduler's ledger counts the jobs.
     info = db.describe()
+    jobs = db.scheduler.stats.job_counts
     print("\nafter 20k inserts:")
-    print("  partitions        :", db.num_partitions())
-    print("  flushes/merges/GCs:", info["stats"]["flushes"],
-          info["stats"]["merges"], info["stats"]["gc_runs"])
-    print("  splits            :", info["stats"]["splits"])
+    print("  partitions        :", len(info["partitions"]))
+    print("  flushes/merges/GCs:", jobs.get("flush", 0), jobs.get("merge", 0),
+          jobs.get("gc", 0))
+    print("  splits            :", jobs.get("split", 0))
     print("  hash-index memory : %.1f KB" % (info["index_memory_bytes"] / 1024))
     print("  device bytes      : %.2f MB" % (db.disk.total_bytes() / 1048576))
 

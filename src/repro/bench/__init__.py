@@ -6,12 +6,7 @@ write/read amplification, index memory) and formatted tables.
 """
 
 from repro.bench.metrics import RunMetrics
-from repro.bench.report import (
-    format_runtime_table,
-    format_series,
-    format_table,
-    runtime_row,
-)
+from repro.bench.report import format_series, format_table
 from repro.bench.runner import effective_cost_model, execute_ops, run_workload
 
 __all__ = [
@@ -21,6 +16,4 @@ __all__ = [
     "effective_cost_model",
     "format_table",
     "format_series",
-    "format_runtime_table",
-    "runtime_row",
 ]

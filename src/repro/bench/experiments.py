@@ -318,7 +318,7 @@ def run_e11_sensitivity(num_records: int = 5000, reads: int = 1500,
             "knob": "unsorted_limit", "value_KB": limit // 1024,
             "load_kops": round(load.throughput_kops, 2),
             "read_kops": round(read.throughput_kops, 2),
-            "merges": store.stats.merges,
+            "merges": store.scheduler.stats.job_counts.get("merge", 0),
             "index_KB": round(store.index_memory_bytes() / 1024, 1),
             "partitions": store.num_partitions(),
         })
@@ -330,7 +330,7 @@ def run_e11_sensitivity(num_records: int = 5000, reads: int = 1500,
             "knob": "partition_limit", "value_KB": limit // 1024,
             "load_kops": round(load.throughput_kops, 2),
             "read_kops": round(read.throughput_kops, 2),
-            "merges": store.stats.merges,
+            "merges": store.scheduler.stats.job_counts.get("merge", 0),
             "index_KB": round(store.index_memory_bytes() / 1024, 1),
             "partitions": store.num_partitions(),
         })
@@ -474,13 +474,11 @@ def run_e14_gc_comparison(num_records: int = 3000, updates: int = 9000,
                                update_phase(num_records, updates, value_size),
                                phase="update")
         stats = store.disk.stats
-        gc_runs = (store.gc_runs if name == "WiscKey"
-                   else store.stats.gc_runs)
         rows.append({
             "engine": name,
             "update_kops": round(metrics.throughput_kops, 2),
             "write_amp": round(metrics.write_amplification, 2),
-            "gc_runs": gc_runs,
+            "gc_runs": store.scheduler.stats.job_counts.get("gc", 0),
             "gc_index_queries": stats.ops_for(op="read", tag="gc_lookup"),
             "gc_MB": round((stats.bytes_for(op="read", tag="gc")
                             + stats.bytes_for(op="write", tag="gc")) / 1048576, 2),

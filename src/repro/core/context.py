@@ -24,13 +24,9 @@ from repro.runtime.scheduler import MaintenanceScheduler
 
 @dataclass
 class CoreStats:
-    """Operation counters surfaced through UniKV.stats."""
+    """Store counters that are not job runs (those are the scheduler's
+    ``stats.job_counts``), surfaced through UniKV.stats."""
 
-    flushes: int = 0
-    merges: int = 0
-    scan_merges: int = 0
-    gc_runs: int = 0
-    splits: int = 0
     index_checkpoints: int = 0
     hash_false_positive_probes: int = 0
 

@@ -339,7 +339,6 @@ class UniKV(KVStore):
         })
         partition.unsorted.add_flushed_table(table_id, meta, keys)
         partition.mem = MemTable(seed=self.config.seed)
-        self.ctx.stats.flushes += 1
         if partition.wal is not None:
             self._rotate_wal(partition)
         self._maybe_checkpoint_index(partition)
@@ -486,9 +485,10 @@ class UniKV(KVStore):
         return self.ctx.table_metadata_bytes()
 
     def describe(self) -> dict:
+        """Structure and live lane state.  Counters are in :attr:`stats`
+        and ``scheduler.stats``; distributions in :meth:`metrics_snapshot`."""
         return {
             "partitions": [p.describe() for p in self.partitions],
-            "stats": self.ctx.stats.as_dict(),
             "index_memory_bytes": self.index_memory_bytes(),
             "runtime": self.ctx.scheduler.describe(),
         }

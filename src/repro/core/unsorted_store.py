@@ -113,7 +113,6 @@ class UnsortedStore:
             self.index.insert(key, table_id)
         for name in old_names:
             self._ctx.drop_table(name)
-        self._ctx.stats.scan_merges += 1
 
     # -- merge into SortedStore ---------------------------------------------------------
 

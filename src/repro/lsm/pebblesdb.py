@@ -26,7 +26,7 @@ from repro.engine.sstable import SSTableBuilder, SSTableReader, TableMeta, write
 from repro.engine.table_cache import TableCache
 from repro.engine.wal import WalWriter
 from repro.env.storage import SimulatedDisk
-from repro.lsm.base import KVStore, LSMConfig, WriteStallStats
+from repro.lsm.base import KVStore, LSMConfig
 from repro.runtime.scheduler import Job, MaintenanceScheduler
 
 Record = tuple[bytes, int, bytes]
@@ -69,14 +69,12 @@ class PebblesDBStore(KVStore):
         self._next_file = 0
         self._next_wal = 0
         self._wal = self._new_wal()
-        self.stats = WriteStallStats()
         self.scheduler = MaintenanceScheduler(
             self._disk,
             background_threads=self.config.background_threads,
             slowdown_trigger=self.config.slowdown_trigger,
             stop_trigger=self.config.stop_trigger,
-            slowdown_penalty_us=self.config.slowdown_penalty_us,
-            stats=self.stats)
+            slowdown_penalty_us=self.config.slowdown_penalty_us)
 
     # -- public API ----------------------------------------------------------------
 
@@ -153,7 +151,6 @@ class PebblesDBStore(KVStore):
         for record in self._mem.entries():
             builder.add(*record)
         self._l0.insert(0, builder.finish())
-        self.stats.flushes += 1
         old_wal = self._wal
         self._wal = self._new_wal()
         old_wal.close()
@@ -233,7 +230,6 @@ class PebblesDBStore(KVStore):
         guards[slot:slot + 1] = replacements
         for f in stale:
             self._drop_file(f.name)
-        self.stats.compactions += 1
 
     def _append_fragments(self, target_level: int, records: Iterator[Record]) -> None:
         """Cut a merged record stream at guard boundaries of ``target_level``."""
@@ -261,7 +257,6 @@ class PebblesDBStore(KVStore):
                 guard_of_builder = gi
             builder.add(key, kind, value)
         finish()
-        self.stats.compactions += 1
 
     def _cascade_overflows(self, level_index: int) -> None:
         for li in range(level_index, len(self._levels)):

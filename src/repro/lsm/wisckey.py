@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from repro.engine.vlog import ValuePointer, VLogReader, VLogWriter
 from repro.env.storage import SimulatedDisk
-from repro.lsm.base import KVStore, LSMConfig, WriteStallStats
+from repro.lsm.base import KVStore, LSMConfig
 from repro.lsm.leveldb import LevelDBStore
 from repro.runtime.scheduler import Job, MaintenanceScheduler
 
@@ -46,7 +46,6 @@ class WiscKeyStore(KVStore):
         self._disk = disk if disk is not None else SimulatedDisk()
         self.config = config if config is not None else WiscKeyConfig()
         self._prefix = prefix
-        self.stats = WriteStallStats()
         # One scheduler (and thus one backpressure state) for the value-log
         # GC and the embedded index LSM's flush/compaction jobs.
         self.scheduler = MaintenanceScheduler(
@@ -54,8 +53,7 @@ class WiscKeyStore(KVStore):
             background_threads=self.config.background_threads,
             slowdown_trigger=self.config.slowdown_trigger,
             stop_trigger=self.config.stop_trigger,
-            slowdown_penalty_us=self.config.slowdown_penalty_us,
-            stats=self.stats)
+            slowdown_penalty_us=self.config.slowdown_penalty_us)
         index_config = replace(self.config, wal_enabled=False)
         self._index = LevelDBStore(self._disk, config=index_config,
                                    prefix=f"{prefix}idx-",
@@ -64,7 +62,6 @@ class WiscKeyStore(KVStore):
         self._next_log = 0
         self._head: VLogWriter | None = None
         self._readers: dict[int, VLogReader] = {}
-        self.gc_runs = 0
         self.gc_relocated_values = 0
         self._roll_head()
 
@@ -172,7 +169,6 @@ class WiscKeyStore(KVStore):
                 self._roll_head()
         self._readers.pop(tail, None)
         self._disk.delete(self._segment_name(tail))
-        self.gc_runs += 1
 
     # -- introspection ------------------------------------------------------------------
 

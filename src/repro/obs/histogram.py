@@ -39,7 +39,11 @@ class LogHistogram:
         if not 0.0 < relative_error < 1.0:
             raise ValueError("relative_error must be in (0, 1)")
         self.relative_error = relative_error
-        self._gamma = (1.0 + relative_error) / (1.0 - relative_error)
+        # A value on a bucket edge (1.0 always is) sits exactly
+        # ``relative_error`` from the midpoint, so float rounding alone
+        # could break the bound; buckets use a hair less error instead.
+        inner = relative_error * (1.0 - 1e-9)
+        self._gamma = (1.0 + inner) / (1.0 - inner)
         self._log_gamma = math.log(self._gamma)
         self.buckets: dict[int, int] = {}
         self.zero_count = 0

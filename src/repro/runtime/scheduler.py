@@ -38,18 +38,12 @@ from repro.env.storage import SimulatedDisk
 
 @dataclass
 class WriteStallStats:
-    """Maintenance bookkeeping: legacy per-engine counters plus the
-    scheduler's job and stall accounting.
+    """The maintenance ledger: job runs, job device time and write stalls.
 
-    One instance is shared between an engine (which bumps the legacy
-    ``flushes``/``compactions``/... counters from its job bodies, as it
-    always has) and the engine's scheduler (which fills in the job/stall
-    fields), so reports read one object.
+    Only the scheduler writes it.  ``job_counts`` is the one record of how
+    often each job kind ran; engines keep no run counters of their own.
     """
 
-    flushes: int = 0
-    compactions: int = 0
-    gc_runs: int = 0
     #: foreground seconds injected by slowdown/stop backpressure
     stall_seconds: float = 0.0
     stall_events: int = 0
@@ -65,9 +59,6 @@ class WriteStallStats:
 
     def as_dict(self) -> dict:
         return {
-            "flushes": self.flushes,
-            "compactions": self.compactions,
-            "gc_runs": self.gc_runs,
             "stall_seconds": self.stall_seconds,
             "stall_events": self.stall_events,
             "queue_depth_high_water": self.queue_depth_high_water,
@@ -104,7 +95,6 @@ class MaintenanceScheduler:
                  cost_model: DeviceCostModel | None = None,
                  slowdown_trigger: int = 4, stop_trigger: int = 8,
                  slowdown_penalty_us: float = 200.0,
-                 stats: WriteStallStats | None = None,
                  metrics=None) -> None:
         self._disk = disk
         self.background_threads = int(background_threads)
@@ -112,7 +102,7 @@ class MaintenanceScheduler:
         self.slowdown_trigger = slowdown_trigger
         self.stop_trigger = stop_trigger
         self.slowdown_penalty_us = slowdown_penalty_us
-        self.stats = stats if stats is not None else WriteStallStats()
+        self.stats = WriteStallStats()
         if metrics is None:
             from repro.obs import NULL_REGISTRY
             metrics = NULL_REGISTRY
@@ -240,8 +230,9 @@ class MaintenanceScheduler:
     # -- introspection ----------------------------------------------------------------
 
     def describe(self) -> dict:
-        out = self.stats.as_dict()
-        out["background_threads"] = self.background_threads
-        out["queue_depth"] = self.queue_depth()
-        out["backlog_seconds"] = self.backlog_seconds()
-        return out
+        """Live lane state; the counters are in :attr:`stats`."""
+        return {
+            "background_threads": self.background_threads,
+            "queue_depth": self.queue_depth(),
+            "backlog_seconds": self.backlog_seconds(),
+        }

@@ -209,7 +209,8 @@ class ShardRouter:
     # -- aggregation ------------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Per-shard and aggregate stats (core counters + WriteStallStats)."""
+        """Per-shard and aggregate counters: each store's ``stats`` and its
+        scheduler's maintenance ledger (``job_counts`` is the run count)."""
         shards = []
         for i, store in enumerate(self.stores):
             shards.append({
@@ -231,6 +232,7 @@ class ShardRouter:
         return merge_snapshots([store.metrics_snapshot() for store in self.stores])
 
     def describe(self) -> dict:
+        """Shard layout plus each store's structure; no counters."""
         return {
             "num_shards": self.num_shards,
             "boundaries": [b.hex() for b in self.boundaries],

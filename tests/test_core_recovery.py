@@ -119,7 +119,7 @@ def test_crash_late_in_workload_with_everything_triggered():
                                                n_ops=20000)
     if not crashed:
         pytest.skip("workload did not reach 3 GC runs")
-    assert db.stats.splits >= 1
+    assert db.scheduler.stats.job_counts.get("split", 0) >= 1
     verify_recovery(disk, model)
 
 
@@ -177,7 +177,7 @@ def test_stale_checkpoint_discarded_after_merge():
     for i in range(2500):
         db.put(f"key-{i:05d}".encode(), b"v" * 20)
     db.flush()
-    assert db.stats.merges > 0
+    assert db.scheduler.stats.job_counts.get("merge", 0) > 0
     db2 = UniKV(disk=db.disk.clone(), config=db.config)
     for i in range(0, 2500, 13):
         assert db2.get(f"key-{i:05d}".encode()) == b"v" * 20

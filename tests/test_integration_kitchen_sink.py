@@ -61,8 +61,8 @@ def test_all_features_together_with_crash_and_recovery():
 
     run_mixed_workload(db, model, rng, 5000)
     db.flush()
-    stats = db.stats
-    assert stats.merges > 0 and stats.splits > 0
+    jobs = db.scheduler.stats.job_counts
+    assert jobs.get("merge", 0) > 0 and jobs.get("split", 0) > 0
     verify(db, model)
 
     # Crash on a mid-life GC, recover, verify, keep going.

@@ -64,7 +64,7 @@ def test_wisckey_gc_reclaims_dead_values():
     for round_no in range(20):
         for i in range(30):
             db.put(f"k{i:03d}".encode(), value + str(round_no).encode())
-    assert db.gc_runs > 0
+    assert db.scheduler.stats.job_counts.get("gc", 0) > 0
     assert db.vlog_bytes() <= db.config.vlog_size_limit * 1.5
     for i in range(30):
         assert db.get(f"k{i:03d}".encode()) == value + b"19"
@@ -76,8 +76,22 @@ def test_wisckey_gc_queries_index_per_record():
         for i in range(30):
             db.put(f"k{i:03d}".encode(), b"v" * 100)
     # The strict-order GC's validity checks show up as gc_lookup reads.
-    assert db.gc_runs > 0
+    assert db.scheduler.stats.job_counts.get("gc", 0) > 0
     assert db.disk.stats.ops_for(op="read", tag="gc_lookup") > 0
+
+
+def test_wisckey_one_scheduler_counts_log_and_index_jobs():
+    db = WiscKeyStore(config=wk_config())
+    for round_no in range(20):
+        for i in range(30):
+            db.put(f"k{i:03d}".encode(), b"v" * 100)
+    # The embedded index LSM submits its flushes and compactions to the
+    # store's scheduler, next to the value log's GC jobs.
+    assert db._index.scheduler is db.scheduler
+    jobs = db.scheduler.stats.job_counts
+    assert jobs.get("flush", 0) > 0 and jobs.get("compaction", 0) > 0
+    # One GC job per segment freed from the log's tail.
+    assert jobs["gc"] == db._next_log - len(db._segments) > 0
 
 
 def test_wisckey_no_lsm_wal():

@@ -50,6 +50,16 @@ def test_quantile_bound_holds_for_any_relative_error(values, q, eps):
     assert abs(hist.quantile(q) - truth) <= eps * truth
 
 
+@pytest.mark.parametrize("eps", [0.001, 0.01, 0.2])
+@pytest.mark.parametrize("value", [1.0, 1e-9, 1e12])
+def test_bound_holds_on_a_bucket_edge(eps, value):
+    # 1.0 is always a bucket edge, exactly eps from the midpoint in exact
+    # arithmetic; float rounding must not push the estimate past eps.
+    hist = LogHistogram(relative_error=eps)
+    hist.record(value)
+    assert abs(hist.quantile(0.0) - value) <= eps * value
+
+
 def test_non_positive_values_fold_into_zero_bucket():
     hist = LogHistogram()
     hist.record(0.0, n=3)

@@ -111,7 +111,7 @@ def test_background_mode_describe_identical_modulo_runtime():
         apply_ops(db, ops)
         info = db.describe()
         info.pop("runtime")
-        described.append(info)
+        described.append((info, db.stats.as_dict()))
     assert described[0] == described[1]
 
 

@@ -94,16 +94,47 @@ def test_stats_aggregates_per_shard_write_stall_and_core():
         router.put(make_key(i), b"x" * 64)
     stats = router.stats()
     assert len(stats["shards"]) == 2
-    for field in ("flushes", "stall_seconds", "stall_events"):
+    for field in ("stall_seconds", "stall_events"):
         total = sum(s["write_stall"][field] for s in stats["shards"])
         assert stats["aggregate"]["write_stall"][field] == pytest.approx(total)
-    assert stats["aggregate"]["core"]["flushes"] == sum(
-        s["core"]["flushes"] for s in stats["shards"])
-    assert stats["aggregate"]["core"]["flushes"] > 0
+    assert stats["aggregate"]["write_stall"]["job_counts"]["flush"] == sum(
+        s["write_stall"]["job_counts"]["flush"] for s in stats["shards"])
+    assert stats["aggregate"]["write_stall"]["job_counts"]["flush"] > 0
     assert stats["aggregate"]["partitions"] == sum(
         store.num_partitions() for store in router.stores)
     # Writes were range-routed, so both shards did real work.
-    assert all(s["core"]["flushes"] > 0 for s in stats["shards"])
+    assert all(s["write_stall"]["job_counts"]["flush"] > 0
+               for s in stats["shards"])
+
+
+def test_stats_count_each_job_run_once():
+    """Job runs live only in write_stall.job_counts: no section mirrors them."""
+    router = make_router(2, boundaries=[make_key(500)])
+    for i in range(1000):
+        router.put(make_key(i), b"x" * 64)
+    stats = router.stats()
+    mirrors = {"flushes", "merges", "scan_merges", "gc_runs", "splits",
+               "compactions"}
+    for entry in stats["shards"] + [stats["aggregate"]]:
+        for section in ("core", "write_stall"):
+            assert not mirrors & set(entry[section]), section
+    for shard, store in zip(stats["shards"], router.stores):
+        assert (shard["write_stall"]["job_counts"]
+                == store.scheduler.stats.job_counts)
+
+
+def test_describe_reports_structure_not_counters():
+    router = make_router(2, boundaries=[make_key(500)])
+    for i in range(1000):
+        router.put(make_key(i), b"x" * 64)
+    info = router.describe()
+    assert info["num_shards"] == 2
+    counters = set(router.stats()["shards"][0]["write_stall"])
+    for shard in info["shards"]:
+        assert shard["partitions"] and shard["index_memory_bytes"] > 0
+        assert set(shard["runtime"]) == {"background_threads", "queue_depth",
+                                         "backlog_seconds"}
+        assert not counters & set(shard) and "stats" not in shard
 
 
 def test_stats_aggregate_high_water_is_the_max_not_the_sum():
