@@ -18,7 +18,9 @@ overlap device time in the real systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.env.iostats import IOStats, RAND, READ
 
@@ -52,34 +54,45 @@ class TimeBreakdown:
         return self.by_tag.get(tag, 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeviceCostModel:
-    """Maps accounted I/O to modelled seconds of device time."""
+    """Maps accounted I/O to modelled seconds of device time.
+
+    Frozen, with a read-only ``parallelism`` mapping: the scheduler's
+    virtual clock caches prices per model object, so a model must not
+    change in place.  Derive a new one with :meth:`with_parallelism`.
+    """
 
     seq_read_mb_s: float = 500.0
     seq_write_mb_s: float = 400.0
     rand_read_op_us: float = 80.0
     rand_write_op_us: float = 100.0
     #: per-tag parallelism: a tag's time is divided by this factor.
-    parallelism: dict[str, float] = field(default_factory=dict)
+    parallelism: Mapping[str, float] = field(default_factory=dict)
 
-    def _op_time(self, op: str, pattern: str, ops: int, nbytes: int) -> float:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "parallelism",
+                           MappingProxyType(dict(self.parallelism)))
+
+    def record_seconds(self, op: str, pattern: str, tag: str, ops: int,
+                       nbytes: int) -> float:
+        """Modelled time of one ``(op, pattern, tag)`` record, after the
+        tag's parallelism factor: the one place I/O is priced."""
         if op == READ:
-            stream = nbytes / (self.seq_read_mb_s * _MB)
+            t = nbytes / (self.seq_read_mb_s * _MB)
             if pattern == RAND:
-                return stream + ops * self.rand_read_op_us * 1e-6
-            return stream
-        stream = nbytes / (self.seq_write_mb_s * _MB)
-        if pattern == RAND:
-            return stream + ops * self.rand_write_op_us * 1e-6
-        return stream
+                t += ops * self.rand_read_op_us * 1e-6
+        else:
+            t = nbytes / (self.seq_write_mb_s * _MB)
+            if pattern == RAND:
+                t += ops * self.rand_write_op_us * 1e-6
+        return t / self.parallelism.get(tag, 1.0)
 
     def breakdown(self, stats: IOStats) -> TimeBreakdown:
         """Modelled time per tag, after applying parallelism factors."""
         out = TimeBreakdown()
         for (op, pattern, tag), rec in stats.records.items():
-            t = self._op_time(op, pattern, rec.ops, rec.bytes)
-            t /= self.parallelism.get(tag, 1.0)
+            t = self.record_seconds(op, pattern, tag, rec.ops, rec.bytes)
             out.by_tag[tag] = out.by_tag.get(tag, 0.0) + t
         return out
 
@@ -89,12 +102,4 @@ class DeviceCostModel:
 
     def with_parallelism(self, **factors: float) -> "DeviceCostModel":
         """A copy of this model with extra per-tag parallelism factors."""
-        merged = dict(self.parallelism)
-        merged.update(factors)
-        return DeviceCostModel(
-            seq_read_mb_s=self.seq_read_mb_s,
-            seq_write_mb_s=self.seq_write_mb_s,
-            rand_read_op_us=self.rand_read_op_us,
-            rand_write_op_us=self.rand_write_op_us,
-            parallelism=merged,
-        )
+        return replace(self, parallelism={**self.parallelism, **factors})

@@ -29,10 +29,8 @@ class IORecord:
 
     ops: int = 0
     bytes: int = 0
-
-    def add(self, nbytes: int) -> None:
-        self.ops += 1
-        self.bytes += nbytes
+    #: the owning :attr:`IOStats.version` at this record's last change
+    version: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass
@@ -40,6 +38,10 @@ class IOStats:
     """Mutable aggregate of all I/O issued against one disk."""
 
     records: dict[tuple[str, str, str], IORecord] = field(default_factory=dict)
+    #: change counter, bumped by every mutation and stamped on the records
+    #: it touched: a reader that caches a function of the counters (the
+    #: scheduler's virtual clock) revisits only records newer than it saw
+    version: int = field(default=0, compare=False, repr=False)
 
     def record(self, op: str, pattern: str, tag: str, nbytes: int) -> None:
         key = (op, pattern, tag)
@@ -47,7 +49,10 @@ class IOStats:
         if rec is None:
             rec = IORecord()
             self.records[key] = rec
-        rec.add(nbytes)
+        rec.ops += 1
+        rec.bytes += nbytes
+        self.version += 1
+        rec.version = self.version
 
     # -- aggregation helpers -------------------------------------------------
 
@@ -110,16 +115,20 @@ class IOStats:
 
     def merge(self, other: "IOStats") -> None:
         """Fold another stats object into this one (in place)."""
+        self.version += 1
         for key, rec in other.records.items():
             mine = self.records.get(key)
             if mine is None:
-                self.records[key] = IORecord(rec.ops, rec.bytes)
-            else:
-                mine.ops += rec.ops
-                mine.bytes += rec.bytes
+                mine = self.records[key] = IORecord()
+            mine.ops += rec.ops
+            mine.bytes += rec.bytes
+            mine.version = self.version
 
     def reset(self) -> None:
-        self.records.clear()
+        # A new dict, not clear(): a cached reader sees the records it
+        # priced are gone.
+        self.records = {}
+        self.version += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         rows = ", ".join(

@@ -32,8 +32,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.env.cost_model import DeviceCostModel
-from repro.env.iostats import IOStats
+from repro.env.iostats import IORecord, IOStats
 from repro.env.storage import SimulatedDisk
+
+#: stands in for a disk record that no background job has touched
+_NO_IO = IORecord()
 
 
 @dataclass
@@ -114,6 +117,15 @@ class MaintenanceScheduler:
         self.background_io = IOStats()
         self._lanes: list[float] = [0.0] * max(0, self.background_threads)
         self._inflight: list[float] = []  # heap of virtual job-end times
+        # foreground_clock cache: the disk and background versions, the
+        # disk's record dict and the model it has priced, the seconds of
+        # each record with foreground I/O, those records grouped per tag in
+        # the order breakdown() meets them, and each tag's sum of seconds
+        self._seen: tuple = (-1, -1, None, None)
+        self._terms: dict[tuple[str, str, str], float] = {}
+        self._tag_keys: dict[str, list[tuple[str, str, str]]] = {}
+        self._tag_seconds: dict[str, float] = {}
+        self._foreground_seconds = 0.0
 
     # -- mode ---------------------------------------------------------------------
 
@@ -128,9 +140,66 @@ class MaintenanceScheduler:
     # -- virtual clock ------------------------------------------------------------
 
     def foreground_clock(self) -> float:
-        """Virtual now: foreground device seconds + accumulated stalls."""
-        fg = self._disk.stats.delta_since(self.background_io)
-        return self.cost_model.seconds(fg) + self.stats.stall_seconds
+        """Virtual now: foreground device seconds + accumulated stalls.
+
+        Equal, bit for bit, to ``cost_model.seconds(disk.stats.delta_since(
+        background_io)) + stats.stall_seconds``, but cached: the device
+        seconds are recomputed only after disk I/O, a background merge or a
+        cost-model swap, and then only the changed records are repriced.
+        """
+        if (self._disk.stats.version != self._seen[0]
+                or self.background_io.version != self._seen[1]
+                or self.cost_model is not self._seen[3]):
+            self._foreground_seconds = self._price_foreground()
+        return self._foreground_seconds + self.stats.stall_seconds
+
+    def _price_foreground(self) -> float:
+        """``cost_model.seconds`` of the foreground I/O: the same terms,
+        summed per tag and over tags in the order ``breakdown`` uses."""
+        disk, background = self._disk.stats, self.background_io
+        disk_seen, background_seen, priced_records, priced_model = self._seen
+        terms, model = self._terms, self.cost_model
+        self._seen = (disk.version, background.version, disk.records, model)
+        if model is not priced_model or disk.records is not priced_records:
+            # a new model or a reset disk: reprice everything
+            disk_seen = background_seen = -1
+            terms.clear()
+        changed = {key for key, rec in disk.records.items()
+                   if rec.version > disk_seen}
+        if background.version != background_seen:
+            # delta_since() walks the disk's records only
+            changed.update(key for key, rec in background.records.items()
+                           if rec.version > background_seen
+                           and key in disk.records)
+        regroup = not terms
+        tags = set()
+        for key in changed:
+            rec = disk.records[key]
+            prior = background.records.get(key, _NO_IO)
+            ops, nbytes = rec.ops - prior.ops, rec.bytes - prior.bytes
+            if ops or nbytes:
+                regroup = regroup or key not in terms
+                op, pattern, tag = key
+                terms[key] = model.record_seconds(op, pattern, tag, ops, nbytes)
+                tags.add(tag)
+            elif terms.pop(key, None) is not None:
+                # delta_since() drops a record with no foreground I/O
+                regroup = True
+        if regroup:
+            # a tag sits where breakdown() first meets one of its records
+            self._tag_keys = {}
+            for key in disk.records:
+                if key in terms:
+                    self._tag_keys.setdefault(key[2], []).append(key)
+            self._tag_seconds = dict.fromkeys(self._tag_keys, 0.0)
+            tags = self._tag_keys
+        for tag in tags:
+            # += as breakdown() adds, not sum(): 3.12's sum() compensates
+            seconds = 0.0
+            for key in self._tag_keys[tag]:
+                seconds += terms[key]
+            self._tag_seconds[tag] = seconds
+        return sum(self._tag_seconds.values())
 
     def backlog_seconds(self) -> float:
         """How far the busiest background lane runs past the clock."""

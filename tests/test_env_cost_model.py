@@ -1,5 +1,7 @@
 """Unit tests for IOStats aggregation and the device cost model."""
 
+import dataclasses
+
 import pytest
 
 from repro.env import DeviceCostModel, IOStats
@@ -28,6 +30,26 @@ def test_iostats_reset():
     s.record(READ, SEQ, "x", 5)
     s.reset()
     assert s.read_bytes == 0 and not s.records
+
+
+def test_iostats_version_counts_changes_and_stamps_records():
+    s = IOStats()
+    s.record(WRITE, SEQ, "a", 100)
+    s.record(READ, RAND, "b", 10)
+    assert s.version == 2
+    assert s.records[(WRITE, SEQ, "a")].version == 1
+    assert s.records[(READ, RAND, "b")].version == 2
+    other = IOStats()
+    other.record(WRITE, SEQ, "a", 1)
+    s.merge(other)
+    assert s.version == 3 and s.records[(WRITE, SEQ, "a")].version == 3
+    assert s.records[(READ, RAND, "b")].version == 2
+    s.reset()
+    assert s.version == 4
+    # the counter is bookkeeping, not content
+    copy = IOStats()
+    copy.record(WRITE, SEQ, "a", 101)
+    assert copy.snapshot() == copy and copy.version != copy.snapshot().version
 
 
 def test_seq_write_time_matches_bandwidth():
@@ -77,6 +99,32 @@ def test_with_parallelism_does_not_mutate_original():
     base = DeviceCostModel()
     base.with_parallelism(gc=8.0)
     assert "gc" not in base.parallelism
+
+
+def test_cost_model_is_frozen():
+    """The virtual clock caches prices per model object, so a model must
+    not change in place."""
+    factors = {"gc": 2.0}
+    model = DeviceCostModel(parallelism=factors)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.rand_read_op_us = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.parallelism = {}
+    with pytest.raises(TypeError):
+        model.parallelism["gc"] = 4.0
+    factors["gc"] = 4.0  # the caller's dict is copied, not shared
+    assert model.parallelism == {"gc": 2.0}
+    assert model.with_parallelism(gc=4.0).parallelism == {"gc": 4.0}
+
+
+def test_record_seconds_prices_breakdown():
+    model = DeviceCostModel().with_parallelism(gc=4.0)
+    s = IOStats()
+    s.record(READ, RAND, "gc", 4096)
+    s.record(READ, RAND, "gc", 4096)
+    expected = (8192 / (500.0 * _MB) + 2 * 80.0 * 1e-6) / 4.0
+    assert model.record_seconds(READ, RAND, "gc", 2, 8192) == expected
+    assert model.breakdown(s).tag("gc") == expected
 
 
 def test_breakdown_total_sums_tags():
